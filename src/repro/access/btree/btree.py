@@ -37,6 +37,7 @@ from repro.access.btree.nodes import (
     T_LEAF,
     T_OVERFLOW,
     NodeView,
+    split_cut,
 )
 from repro.core.buffer import BufferPool
 from repro.core.errors import (
@@ -202,11 +203,6 @@ class BTree(TraceSupport, AccessMethod):
             hooks.emit(
                 "on_page_io", {"kind": kind, "pageno": pageno, "nbytes": nbytes}
             )
-
-    def _ge(self, a: bytes, b: bytes) -> bool:
-        if self._compare is None:
-            return a >= b
-        return self._compare(a, b) >= 0
 
     def _lt(self, a: bytes, b: bytes) -> bool:
         if self._compare is None:
@@ -616,13 +612,13 @@ class BTree(TraceSupport, AccessMethod):
             else:
                 entry = NodeView.pack_leaf_entry(key, data)
             slot, _exact = NodeView(hdr.page).leaf_search(key, self._compare)
-            self._insert_into_leaf(path, leaf, hdr, slot, entry, key)
+            self._insert_into_leaf(path, hdr, slot, entry)
             self.nkeys += 1
         finally:
             hdr.unpin()
         return 0
 
-    def _insert_into_leaf(self, path, leaf_pgno, hdr, slot, entry, key) -> None:
+    def _insert_into_leaf(self, path, hdr, slot, entry) -> None:
         view = NodeView(hdr.page)
         if view.fits(len(entry)):
             view._insert_entry(slot, entry)
@@ -631,17 +627,20 @@ class BTree(TraceSupport, AccessMethod):
         # -- split the leaf ---------------------------------------------------
         clock = self._clock
         t0 = clock() if clock is not None else 0.0
+        n = view.nslots
+        sizes = [view.leaf_entry_len(i) + SLOT_SIZE for i in range(n)]
+        sizes.insert(slot, len(entry) + SLOT_SIZE)
+        cut = split_cut(sizes, self.bsize - NODE_HDR_SIZE)
+        # first resident entry to move right (the incoming one is not
+        # resident yet: it sits at ``slot`` of the merged order)
+        mid = cut - 1 if slot < cut else cut
         self._leaf_splits += 1
         right_hdr = self._new_page(T_LEAF)
         right_hdr.pin()
         try:
             view = NodeView(hdr.page)
             right = NodeView(right_hdr.page)
-            n = view.nslots
-            mid = n // 2
-            # move upper half to the right node
             for i in range(mid, n):
-                k, payload, big = view.leaf_entry(i)
                 raw_off = view._slot_off(i)
                 length = view.leaf_entry_len(i)
                 right._insert_entry(
@@ -659,15 +658,14 @@ class BTree(TraceSupport, AccessMethod):
                 view = NodeView(hdr.page)
                 right = NodeView(right_hdr.page)
             view.next = right_hdr.key
+            # place the new entry
+            if slot < cut:
+                view._insert_entry(slot, entry)
+            else:
+                right._insert_entry(slot - cut, entry)
             hdr.dirty = True
             right_hdr.dirty = True
             separator = right.leaf_key(0)
-            # place the new entry
-            target_hdr = right_hdr if self._ge(key, separator) else hdr
-            tview = NodeView(target_hdr.page)
-            tslot, _exact = tview.leaf_search(key, self._compare)
-            tview._insert_entry(tslot, entry)
-            target_hdr.dirty = True
             self._insert_into_parent(path, hdr.key, separator, right_hdr.key)
             if self.hooks.on_split:
                 self.hooks.emit(
@@ -705,42 +703,41 @@ class BTree(TraceSupport, AccessMethod):
                 hdr.dirty = True
                 return
             # -- split the internal node ----------------------------------------
+            n = view.nslots
+            pos = slot + 1
+            sizes = [view.int_entry_len(i) + SLOT_SIZE for i in range(n)]
+            sizes.insert(pos, len(entry) + SLOT_SIZE)
+            cut = split_cut(sizes, self.bsize - NODE_HDR_SIZE, promote=True)
+            # first resident entry to leave this node
+            mid = cut - 1 if pos < cut else cut
             self._internal_splits += 1
             right_hdr = self._new_page(T_INTERNAL)
             right_hdr.pin()
             try:
                 view = NodeView(hdr.page)
                 right = NodeView(right_hdr.page)
-                n = view.nslots
-                mid = n // 2
-                # the key at `mid` moves UP as the parent separator; its
+                # merged entry `cut` moves UP as the parent separator; its
                 # child becomes the right node's minus-infinity entry
-                up_key, mid_child = view.int_entry(mid)
+                if pos == cut:
+                    up_key, mid_child, first = separator, right_pgno, mid
+                else:
+                    up_key, mid_child = view.int_entry(mid)
+                    first = mid + 1
                 right._insert_entry(0, NodeView.pack_int_entry(b"", mid_child))
-                for i in range(mid + 1, n):
+                for i in range(first, n):
                     k, child = view.int_entry(i)
                     right._insert_entry(
                         right.nslots, NodeView.pack_int_entry(k, child)
                     )
                 for _ in range(n - mid):
                     view.delete_slot(mid, view.int_entry_len(mid))
+                # now place the pending entry in the correct half
+                if pos < cut:
+                    view._insert_entry(pos, entry)
+                elif pos > cut:
+                    right._insert_entry(pos - cut, entry)
                 hdr.dirty = True
                 right_hdr.dirty = True
-                # now place the pending entry in the correct half
-                if self._ge(separator, up_key):
-                    tview = NodeView(right_hdr.page)
-                    tslot = tview.int_search(separator, self._compare)
-                    tview._insert_entry(
-                        tslot + 1, NodeView.pack_int_entry(separator, right_pgno)
-                    )
-                    right_hdr.dirty = True
-                else:
-                    tview = NodeView(hdr.page)
-                    tslot = tview.int_search(separator, self._compare)
-                    tview._insert_entry(
-                        tslot + 1, NodeView.pack_int_entry(separator, right_pgno)
-                    )
-                    hdr.dirty = True
                 self._insert_into_parent(
                     path[:-1], parent_pgno, up_key, right_hdr.key
                 )

@@ -25,6 +25,8 @@ from __future__ import annotations
 import struct
 from typing import Iterator
 
+from repro.core.errors import HashFullError
+
 NODE_HDR_SIZE = 16
 SLOT_SIZE = 2
 
@@ -48,6 +50,35 @@ _BIG_REF = struct.Struct(">II")
 
 # Overflow pages reuse the node header fields: ``next`` chains pages and
 # ``nslots`` holds the payload byte count; payload starts at NODE_HDR_SIZE.
+
+
+def split_cut(sizes: list[int], capacity: int, promote: bool = False) -> int:
+    """Where to cut a node that overflowed: the ``c`` for which
+    ``sizes[:c]`` stays and ``sizes[c:]`` moves to a new right node, both
+    within ``capacity`` bytes and as even as the entries allow.
+
+    ``sizes`` are entry bytes plus slot, in key order, *with the incoming
+    entry already spliced in* -- cutting by slot count alone can leave the
+    half that receives it without room.  With ``promote`` (internal
+    nodes) entry ``c`` moves up to the parent and only its child stays
+    behind, as the right node's key-less first entry.
+    """
+    total = sum(sizes)
+    cuts = []  # (skew, c) of every cut that fits
+    left = 0
+    for c in range(1, len(sizes)):
+        left += sizes[c - 1]
+        right = total - left
+        if promote:
+            right -= sizes[c] - (_INT_ENT.size + SLOT_SIZE)
+        if left <= capacity and right <= capacity:
+            cuts.append((abs(left - right), c))
+    if not cuts:
+        raise HashFullError(
+            f"btree node cannot be split: no cut of entries {sizes} leaves "
+            f"both halves within {capacity} bytes"
+        )
+    return min(cuts)[1]
 
 
 class NodeView:

@@ -22,10 +22,20 @@ Eviction policy nuances reproduced from the paper:
   number of resident pages an operation needs, exactly the paper's Figure 7
   x-axis origin.
 
-Write-back is batched: ``flush()`` collects dirty headers, sorts them by
+Write-back is batched: ``flush()`` takes the dirty headers, sorts them by
 page number and coalesces contiguous runs into single vectored
 ``write_pages`` calls on the underlying pager, so a flush of N contiguous
 dirty pages costs one syscall instead of N (see docs/STORAGE.md).
+
+The dirty headers come from a *dirty index*: an insertion-ordered map of
+exactly the resident headers whose modified bit is set, maintained by the
+``BufferHeader.dirty`` setter (every store in the engines goes through
+it).  So ``flush()`` -- every ``sync``, ``begin`` and ``commit`` -- costs
+O(dirty pages) and ``dirty_count()`` -- every ``stat()`` -- O(1), whatever
+is resident.  It needs no lock of its own: the bit is set only by a writer
+holding the table's exclusive write lock, and cleared only by that writer
+or by an eviction write-back under the pool mutex while nothing but
+readers (which never dirty a page) run.
 
 Observability: all pool accounting lives in :mod:`repro.obs` counters
 (registered under the owning table's metrics tree when one is supplied),
@@ -38,6 +48,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from operator import attrgetter
 from typing import Callable, Hashable
 
 from repro.core.locking import NULL_GUARD, PageLatch
@@ -109,7 +120,8 @@ class BufferHeader:
         "key",
         "pageno",
         "page",
-        "dirty",
+        "_dirty",
+        "_pool",
         "pins",
         "chain_next",
         "latch",
@@ -118,11 +130,19 @@ class BufferHeader:
         "_view",
     )
 
-    def __init__(self, key: BufferKey, pageno: int, page: bytearray) -> None:
+    def __init__(
+        self,
+        key: BufferKey,
+        pageno: int,
+        page: bytearray,
+        pool: "BufferPool | None" = None,
+    ) -> None:
         self.key = key
         self.pageno = pageno
         self.page = page
-        self.dirty = False
+        self._dirty = False
+        #: owning pool, whose dirty index the ``dirty`` setter maintains
+        self._pool = pool
         self.pins = 0
         #: key of the next overflow buffer chained behind this page, if that
         #: buffer is resident; evicted together with this one.
@@ -139,6 +159,26 @@ class BufferHeader:
         #: repeat faults of a resident page skip the hole-detection parse.
         self.formatted = False
         self._view: PageView | None = None
+
+    def _set_dirty(self, value: bool) -> None:
+        # The one place the modified bit changes.  Most stores do not flip
+        # it (a hot page is dirtied once, written many times) and return
+        # after one test.  A flip updates the pool's dirty index -- but a
+        # header the pool no longer holds is never indexed.
+        if value:
+            if not self._dirty:
+                self._dirty = True
+                pool = self._pool
+                if pool is not None and pool._pool.get(self.key) is self:
+                    pool._dirty[self] = None
+        elif self._dirty:
+            self._dirty = False
+            pool = self._pool
+            if pool is not None:
+                pool._dirty.pop(self, None)
+
+    #: the paper's modified bit
+    dirty = property(attrgetter("_dirty"), _set_dirty)
 
     def view(self) -> PageView:
         """The page's shared :class:`PageView` (one per resident buffer).
@@ -194,6 +234,9 @@ class BufferPool:
         #: exactly in sync with the headers' ``chain_next`` hints so chain
         #: unlink and invalidation are O(1).
         self._chain_prev: dict[BufferKey, BufferKey] = {}
+        #: the dirty index: resident headers whose modified bit is set, in
+        #: the order they were dirtied; written by ``BufferHeader.dirty``.
+        self._dirty: dict[BufferHeader, None] = {}
         self._hooks = hooks
         # Counters are always real (a slotted attribute add); supplying an
         # enabled registry merely publishes them in the metrics tree.
@@ -332,7 +375,7 @@ class BufferPool:
     def _install(self, key: BufferKey, pageno: int, page: bytearray, create: bool) -> BufferHeader:
         """Insert a freshly faulted buffer and rebalance (mutex held when
         concurrent)."""
-        hdr = BufferHeader(key, pageno, page)
+        hdr = BufferHeader(key, pageno, page, self)
         if self.mutex is not None:
             hdr.latch = PageLatch()
         self._pool[key] = hdr
@@ -542,8 +585,8 @@ class BufferPool:
         """Write every dirty buffer (pool contents stay resident);
         returns the number of pages written.
 
-        The default path is batched write-back: dirty headers are
-        collected, sorted by page number, and contiguous runs coalesce
+        The default path is batched write-back: the dirty index's headers
+        are sorted by page number, and contiguous runs coalesce
         into single vectored ``write_pages`` calls -- a run of N pages
         costs one syscall instead of N, which ``IOStats.syscalls`` makes
         visible.  ``batched=False`` keeps the historical page-at-a-time
@@ -552,7 +595,7 @@ class BufferPool:
         Each header is re-validated against the live pool immediately
         before its bytes go out: ``on_page_io`` trace hooks fire during
         the writes and may reenter the pool (``invalidate``), so the
-        dirty list collected up front can go stale mid-walk.
+        dirty list taken up front can go stale mid-walk.
         """
         mutex = self.mutex
         if mutex is None:
@@ -561,10 +604,9 @@ class BufferPool:
             return self._flush_locked(batched)
 
     def _flush_locked(self, batched: bool) -> int:
-        dirty = [h for h in self._pool.values() if h.dirty]
-        if not dirty:
+        if not self._dirty:
             return 0
-        dirty.sort(key=lambda h: h.pageno)
+        dirty = sorted(self._dirty, key=attrgetter("pageno"))
         vector_write = getattr(self.file, "write_pages", None) if batched else None
         written = 0
 
@@ -626,8 +668,7 @@ class BufferPool:
             if hdr.pins:
                 raise AssertionError(f"discard of pinned buffer {hdr.key!r}")
         for hdr in victims:
-            hdr.dirty = False  # _invalidate_locked must not write it back
-            self._invalidate_locked(hdr.key)
+            self._invalidate_locked(hdr.key)  # clears the bit, writes nothing
         return len(victims)
 
     def drop_all(self) -> None:
@@ -645,6 +686,8 @@ class BufferPool:
             raise AssertionError("drop_all with pinned buffers resident")
         self._pool.clear()
         self._chain_prev.clear()
+        # Empty unless a reentrant hook re-dirtied a page mid-flush.
+        self._dirty.clear()
 
     # -- introspection -----------------------------------------------------------------
 
@@ -656,13 +699,8 @@ class BufferPool:
             return list(self._pool.keys())
 
     def dirty_count(self) -> int:
-        # Snapshot the headers first: sibling readers faulting pages can
-        # resize the dict mid-iteration when the pool is concurrent.
-        mutex = self.mutex
-        if mutex is None:
-            return sum(1 for h in self._pool.values() if h.dirty)
-        with mutex:
-            return sum(1 for h in self._pool.values() if h.dirty)
+        """Resident dirty buffers: O(1), and safe from any thread."""
+        return len(self._dirty)
 
     def metrics(self) -> dict:
         """The pool's accounting as the dict ``db.stat()`` nests under

@@ -149,6 +149,23 @@ class TestSplitting:
         assert len(tree) == 60
         tree.check_invariants()
 
+    def test_mixed_size_keys_split_leaves_and_internal_nodes(self, tree):
+        # keys from 1 byte to the limit, values straddling the big-data
+        # threshold, random order: every split sees uneven entries, and
+        # the long separators make internal nodes split by bytes too
+        rng = random.Random(7)
+        model = {}
+        for _ in range(1500):
+            key = rng.randbytes(rng.choice((1, 6, 40, tree._max_key_len)))
+            value = b"v" * rng.choice(
+                (0, 3, 150, tree._big_threshold - len(key) - 4, 400)
+            )
+            tree.put(key, value)
+            model[key] = value
+        assert list(tree.items()) == sorted(model.items())
+        tree.check_invariants()
+        assert tree.stat()["method"]["internal_splits"] > 0
+
 
 class TestBigData:
     def test_data_larger_than_page(self, tree):

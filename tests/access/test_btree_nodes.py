@@ -7,7 +7,9 @@ from repro.access.btree.nodes import (
     T_INTERNAL,
     T_LEAF,
     NodeView,
+    split_cut,
 )
+from repro.core.errors import HashError
 
 
 def make_leaf(bsize=512):
@@ -123,3 +125,33 @@ class TestSlotBounds:
             view.leaf_key(0)
         with pytest.raises(IndexError):
             view._insert_entry(1, b"xx")
+
+
+class TestSplitCut:
+    """``sizes`` already contain the incoming entry; both halves must fit."""
+
+    def test_uniform_entries_cut_in_the_middle(self):
+        assert split_cut([10] * 8, 496) == 4
+
+    def test_cut_follows_bytes_not_slot_count(self):
+        # the pinned counter-example: slot-count halving puts 8+159+165+165
+        # = 497 bytes in a 496-byte half
+        sizes = [8, 8, 8, 159, 165, 165]
+        cut = split_cut(sizes, 496)
+        assert cut == 4
+        assert sum(sizes[:cut]) <= 496 and sum(sizes[cut:]) <= 496
+
+    def test_only_feasible_cut_is_taken_even_if_lopsided(self):
+        assert split_cut([490, 3, 3], 496) == 1
+
+    def test_promoted_entry_leaves_only_its_child_behind(self):
+        # entry `cut` moves up: its 150 bytes shrink to the 8-byte
+        # minus-infinity entry on the right, which is what makes it fit
+        sizes = [8, 150, 150, 150]
+        assert split_cut(sizes, 200, promote=True) == 2
+        with pytest.raises(HashError):
+            split_cut(sizes, 200)
+
+    def test_no_cut_is_a_typed_error(self):
+        with pytest.raises(HashError, match="cannot be split"):
+            split_cut([400, 400, 400], 496)

@@ -9,6 +9,7 @@ surviving key must map to bytes some thread actually wrote.
 from __future__ import annotations
 
 import struct
+import sys
 import threading
 
 import pytest
@@ -22,6 +23,7 @@ from repro.core.table import HashTable
 from repro.obs.registry import Counter, Histogram
 from repro.storage.iostats import IOStats
 from tests.concurrency.harness import engine_of
+from tests.core.test_buffer import assert_dirty_index_exact
 
 NTHREADS = 4
 OPS_PER_THREAD = 300
@@ -139,6 +141,64 @@ class TestAccessMethods:
         assert not errors, errors
         db.table.check_invariants()
         db.close()
+
+    def test_writer_commits_while_readers_fault_and_evict(self, tmp_path):
+        """The pool's dirty index under real threads: one writer runs
+        transactions (dirtying under the exclusive write lock, flushing
+        at begin/commit) while three readers fault through an 8-buffer
+        pool, evicting -- and writing back -- under the pool mutex.  The
+        index must be exact whenever the writer looks, empty after every
+        commit, and no committed value may be lost."""
+        t = HashTable.create(
+            tmp_path / "t.db", concurrent=True, durability="wal",
+            bsize=512, cachesize=8 * 512,
+        )
+        nkeys, ntxns = 400, 150
+        t.put_many([(b"k%04d" % i, b"v0") for i in range(nkeys)])
+        stop = threading.Event()
+        final = {}
+
+        def writer():
+            for n in range(1, ntxns + 1):
+                t.begin()
+                for j in range(4):
+                    k = b"k%04d" % ((n * 37 + j * 101) % nkeys)
+                    t.put(k, b"v%d" % n)
+                    final[k] = b"v%d" % n
+                # write lock held: no reader runs, so a walk is race-free
+                assert_dirty_index_exact(t.pool)
+                assert t.pool.dirty_count() > 0
+                t.commit()
+                assert t.pool.dirty_count() == 0
+            stop.set()
+
+        def reader(seed):
+            i = seed
+            while not stop.is_set():
+                i = (i * 1103515245 + 12345) % (1 << 31)
+                got = t.get(b"k%04d" % (i % nkeys))
+                assert got is not None and got.startswith(b"v"), got
+
+        def worker(n):
+            try:
+                writer() if n == 0 else reader(n)
+            finally:
+                stop.set()  # a failed writer must not leave readers spinning
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _run_threads(worker)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert t.stat()["buffer"]["evictions"] > ntxns
+            assert_dirty_index_exact(t.pool)
+            for k, v in final.items():
+                assert t.get(k) == v
+            t.check_invariants()
+        finally:
+            t.close()
 
     def test_cursor_fails_fast_on_structure_change(self):
         """A hash cursor positioned before a split raises a typed

@@ -3,9 +3,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core.table import HashTable
 from repro.workloads import dictionary_pairs, passwd_pairs
+
+# Property tests run derandomised and without the example database, so a
+# tier-1 result depends on the code alone, not on what an earlier run left
+# in a local .hypothesis/ directory.  Counter-examples worth keeping are
+# pinned as plain regression tests beside the property that found them.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 def pytest_addoption(parser):

@@ -1,6 +1,9 @@
 """Unit tests for the LRU buffer pool."""
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.buffer import MIN_BUFFERS, BufferPool
 from repro.storage.memfile import MemPagedFile
@@ -23,6 +26,16 @@ def make_pool(cachesize=1024, bsize=64, prewrite=()):
         return n if kind == "B" else 1000 + n
 
     return f, BufferPool(f, bsize, cachesize, addr)
+
+
+def assert_dirty_index_exact(pool):
+    """The dirty index is exactly the resident headers whose modified bit
+    is set (so no header outside the pool is in it), and the O(1) count
+    agrees with a walk."""
+    resident_dirty = {h for h in pool._pool.values() if h.dirty}
+    assert set(pool._dirty) == resident_dirty
+    assert pool.dirty_count() == len(resident_dirty)
+    assert pool.metrics()["dirty"] == len(resident_dirty)
 
 
 class TestBasics:
@@ -288,3 +301,99 @@ class TestMetrics:
         assert d["misses"] == 1
         assert d["resident"] == 1
         assert d["max_buffers"] == pool.max_buffers
+
+
+KEYS = st.tuples(st.sampled_from("BO"), st.integers(0, 5))
+PICK = st.integers(0, 10**6)
+
+
+class DirtyIndexMachine(RuleBasedStateMachine):
+    """Every way the modified bit or pool membership can change, in any
+    order, under a 4-buffer budget so most faults evict: the index must
+    be exact after every step.  ``seen`` keeps every header ever handed
+    out, so stores also land on evicted, invalidated and dropped ones."""
+
+    def __init__(self):
+        super().__init__()
+        self.file, self.pool = make_pool(cachesize=MIN_BUFFERS * 64)
+        self.seen = []
+
+    def pick(self, i):
+        return self.seen[i % len(self.seen)] if self.seen else None
+
+    @rule(key=KEYS, create=st.booleans())
+    def get(self, key, create):
+        self.seen.append(self.pool.get(key, create=create))
+
+    @rule(i=PICK, value=st.booleans())
+    def store_bit(self, i, value):
+        hdr = self.pick(i)
+        if hdr is not None:
+            hdr.dirty = value
+            assert hdr.dirty is value
+
+    @rule(i=PICK)
+    def mark_dirty(self, i):
+        hdr = self.pick(i)
+        if hdr is not None:
+            epoch = hdr.epoch
+            self.pool.mark_dirty(hdr)
+            assert hdr.dirty and hdr.epoch == epoch + 1
+
+    @rule(n=st.integers(0, 5))
+    def link_chain(self, n):
+        pred, succ = self.pool.peek(("B", n)), self.pool.peek(("O", n))
+        if pred is not None and succ is not None:
+            self.pool.link_chain(pred, succ)
+
+    @rule(batched=st.booleans())
+    def flush(self, batched):
+        ndirty = self.pool.dirty_count()
+        assert self.pool.flush(batched=batched) == ndirty
+        assert self.pool.dirty_count() == 0
+
+    @rule(key=KEYS)
+    def invalidate(self, key):
+        hdr = self.pool.peek(key)
+        self.pool.invalidate(key)
+        assert hdr is None or not hdr.dirty
+
+    @rule(parity=st.integers(0, 1), dirty_only=st.booleans())
+    def discard(self, parity, dirty_only):
+        self.pool.discard(
+            lambda h: h.pageno % 2 == parity and (h.dirty or not dirty_only)
+        )
+
+    @rule()
+    def drop_all(self):
+        self.pool.drop_all()
+        assert len(self.pool) == 0
+
+    @invariant()
+    def index_is_exact(self):
+        assert_dirty_index_exact(self.pool)
+        assert len(self.pool) <= MIN_BUFFERS
+
+
+TestDirtyIndexMachine = DirtyIndexMachine.TestCase
+TestDirtyIndexMachine.settings = settings(max_examples=200, stateful_step_count=40)
+
+
+class TestDirtyIndex:
+    def test_store_that_does_not_flip_the_bit_keeps_index_order(self):
+        f, pool = make_pool()
+        a, b = pool.get(("B", 0)), pool.get(("B", 1))
+        b.dirty = True
+        a.dirty = True
+        b.dirty = True  # already set: no re-registration
+        assert list(pool._dirty) == [b, a]
+
+    def test_stale_header_is_never_indexed(self):
+        f, pool = make_pool()
+        old = pool.get(("B", 0), create=True)
+        pool.invalidate(("B", 0))
+        new = pool.get(("B", 0))
+        old.dirty = True  # a caller still holding the dropped header
+        assert old.dirty and not new.dirty
+        assert_dirty_index_exact(pool)
+        assert pool.flush() == 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 from repro.core.buffer import BufferPool
 from repro.obs.hooks import TraceHooks
 from repro.storage.memfile import MemPagedFile
+from tests.core.test_buffer import assert_dirty_index_exact
 
 
 class _HookedFile:
@@ -78,6 +79,7 @@ class TestFlushReentrancy:
         assert victim not in pool
         assert 3 not in f.writes  # dropped before its turn, never written
         assert pool.dirty_count() == 0
+        assert_dirty_index_exact(pool)
 
     def test_invalidate_during_batched_flush(self):
         """Same reentry under the run-coalescing path: a later run whose
@@ -98,6 +100,7 @@ class TestFlushReentrancy:
             assert v not in pool
         assert 4 not in f.writes and 5 not in f.writes
         assert pool.dirty_count() == 0
+        assert_dirty_index_exact(pool)
 
     def test_reentrant_get_during_flush_is_safe(self):
         """A hook that faults a new page mid-flush (growing the pool dict)
@@ -112,6 +115,50 @@ class TestFlushReentrancy:
         f.on_write = fault_new
         pool.flush()
         assert ("B", 99) in pool
+        # the page created mid-flush is dirty and was not in this flush's
+        # snapshot: it stays indexed for the next one
+        assert list(pool._dirty) == [pool.peek(("B", 99))]
+        assert_dirty_index_exact(pool)
+
+    def test_redirty_during_flush_stays_indexed(self):
+        """A hook that re-dirties a page this flush has already written
+        (and one it has not reached yet): neither is lost -- the first is
+        written again by the next flush, the second by this one."""
+        f, pool = _make_pool()
+        # three separate runs, so the hook fires between them
+        hdrs = _dirty(pool, [("B", 0), ("B", 2), ("B", 4)])
+
+        def redirty(pageno):
+            if pageno == 2:
+                f.on_write = None
+                pool.mark_dirty(hdrs[("B", 0)])  # already written
+                pool.mark_dirty(hdrs[("B", 4)])  # still to come: a no-op
+
+        f.on_write = redirty
+        assert pool.flush() == 3
+        assert f.writes == [0, 2, 4]
+        assert list(pool._dirty) == [hdrs[("B", 0)]]
+        assert_dirty_index_exact(pool)
+        assert pool.flush() == 1
+        assert f.writes == [0, 2, 4, 0]
+        assert_dirty_index_exact(pool)
+
+    def test_redirty_during_drop_all_leaves_no_index_entry(self):
+        """drop_all empties the pool whatever its flush's hooks did; a
+        header re-dirtied mid-flush leaves with the rest and must not
+        stay behind in the index."""
+        f, pool = _make_pool()
+        hdrs = _dirty(pool, [("B", 0), ("B", 2)])
+
+        def redirty(pageno):
+            if pageno == 2:
+                f.on_write = None
+                hdrs[("B", 0)].dirty = True
+
+        f.on_write = redirty
+        pool.drop_all()
+        assert len(pool) == 0
+        assert_dirty_index_exact(pool)
 
 
 class TestEvictionReentrancy:
@@ -140,6 +187,7 @@ class TestEvictionReentrancy:
             pool.get(("B", i), create=True)
         assert ("O", 1) not in pool
         assert 1001 not in f.writes  # invalidated member never written
+        assert_dirty_index_exact(pool)
 
     def test_on_evict_hook_reentering_get(self):
         """An on_evict subscriber that faults pages back in mid-shrink."""
@@ -154,8 +202,10 @@ class TestEvictionReentrancy:
         for i in range(12):
             h = pool.get(("B", i), create=True)
             pool.mark_dirty(h)
+            assert_dirty_index_exact(pool)
         pool.flush()
         assert pool.dirty_count() == 0
+        assert_dirty_index_exact(pool)
 
 
 class TestRaisingSubscribers:

@@ -5,7 +5,10 @@ positional-flags migration on ``put``."""
 from __future__ import annotations
 
 import os
+import shutil
+import statistics
 import threading
+import time
 import warnings
 
 import pytest
@@ -204,6 +207,65 @@ class TestCheckpointing:
         t.abort()
         assert t.get(b"a") == b"1" and t.get(b"b") is None
         t.close()
+
+
+class TestCommitCostModel:
+    """begin/commit cost O(pages the transaction dirtied), not O(resident
+    buffers): the same transactions against the same file, with 64 and
+    with 4 096 buffers resident.  An in-run ratio, never a wall-clock
+    figure; the deterministic counters must not differ at all."""
+
+    NTXN = 300
+
+    def _arm(self, seed_file, path, resident):
+        shutil.copy(seed_file, path)
+        t = HashTable.open_file(path, cachesize=8 << 20, durability="wal")
+        try:
+            txn_keys = [b"key%06d" % (i % 32 * 1009) for i in range(self.NTXN)]
+            # the transactions' own pages first, then filler up to `resident`
+            for k in txn_keys:
+                assert t.get(k) is not None
+            assert len(t.pool) < 64
+            i = 0
+            while len(t.pool) < resident:
+                t.get(b"key%06d" % i)
+                i += 1
+            assert len(t.pool) < resident + 8
+            t.begin()  # seal the implicit transaction outside the timing
+            t.commit()
+            before = t.stat()
+            times = []
+            for n, k in enumerate(txn_keys):
+                t0 = time.perf_counter()
+                t.begin()
+                t.put(k, b"w%07d" % n)
+                t.commit()
+                times.append(time.perf_counter() - t0)
+            after = t.stat()
+            assert after["buffer"]["evictions"] == 0
+            counters = {
+                (sec, k): after[sec][k] - before[sec][k]
+                for sec in ("io", "wal")
+                for k, v in before[sec].items()
+                if isinstance(v, int) and not isinstance(v, bool)
+            }
+            return statistics.median(times), counters
+        finally:
+            t.close()
+
+    def test_commit_time_does_not_follow_resident_buffers(self, tmp_path):
+        seed_file = tmp_path / "seed.db"
+        with HashTable.create(seed_file, bsize=512, ffactor=8, nelem=40000) as t:
+            t.put_many([(b"key%06d" % i, b"v%07d" % i) for i in range(40000)])
+        small, small_counters = self._arm(seed_file, tmp_path / "a.db", 64)
+        large, large_counters = self._arm(seed_file, tmp_path / "b.db", 4096)
+        assert small_counters == large_counters
+        assert small_counters["wal", "commits"] == self.NTXN
+        assert small_counters["io", "page_reads"] == 0
+        assert large <= 2 * small, (
+            f"median commit took {large * 1e6:.0f} us with 4096 resident "
+            f"buffers against {small * 1e6:.0f} us with 64"
+        )
 
 
 class TestAuditFrames:

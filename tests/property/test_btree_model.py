@@ -98,3 +98,19 @@ def test_btree_mixed_inline_and_overflow_data(sizes):
         t.check_invariants()
     finally:
         t.close()
+
+
+def test_btree_split_cuts_by_bytes_not_slots():
+    """Pinned counter-example of the property above: cutting the leaf at
+    ``nslots // 2`` left the half that took k5 one byte short."""
+    sizes = [0, 0, 0, 151, 157, 157]
+    t = BTree.create(None, bsize=512, in_memory=True)
+    try:
+        for i, size in enumerate(sizes):
+            t.put(f"k{i}".encode(), bytes([i]) * size)
+        assert [(k, len(v)) for k, v in t.items()] == [
+            (f"k{i}".encode(), size) for i, size in enumerate(sizes)
+        ]
+        t.check_invariants()
+    finally:
+        t.close()
