@@ -38,7 +38,6 @@ from repro.core import (
     HASH_FUNCTIONS,
     BadFileError,
     ClosedError,
-    HashDB,
     HashError,
     HashFullError,
     HashFunctionMismatchError,
@@ -52,13 +51,13 @@ from repro.core import (
     get_hash_function,
     suggest_parameters,
 )
-from repro.core.dbmap import open as hash_open
+
+hash_open = open  # the dbm-style name, an alias of repro.open
 
 __version__ = "1.0.0"
 
 __all__ = [
     "HashTable",
-    "HashDB",
     "open",
     "hash_open",
     "db_open",

@@ -23,7 +23,6 @@ Big-data ref:   ``u32 head page | u32 total length`` (in place of data)
 from __future__ import annotations
 
 import struct
-from typing import Iterator
 
 from repro.core.errors import HashFullError
 
@@ -306,7 +305,3 @@ class NodeView:
                 else:
                     hi = mid
         return lo - 1
-
-    def iter_leaf(self) -> Iterator[tuple[bytes, bytes, bool]]:
-        for i in range(self.nslots):
-            yield self.leaf_entry(i)

@@ -158,15 +158,6 @@ class DbmFile(TraceSupport):
             self.pag.write_page(self._cached_blkno, bytes(self._cached_page))
             self._cached_dirty = False
 
-    def _write_block(self, blkno: int, page: bytearray) -> None:
-        """Install ``page`` as the cached content of ``blkno`` and mark it
-        dirty (blocks other than the cached one are written through)."""
-        if blkno == self._cached_blkno:
-            self._cached_page = page
-            self._cached_dirty = True
-        else:
-            self.pag.write_page(blkno, bytes(page))
-
     # -- the access function -------------------------------------------------------
 
     def _access(self, h: int) -> tuple[int, int]:

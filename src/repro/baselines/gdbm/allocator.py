@@ -51,6 +51,3 @@ class ExtentAllocator:
             self.leaked_bytes += size
             return
         self.avail.append((offset, size))
-
-    def free_bytes(self) -> int:
-        return sum(size for _off, size in self.avail)

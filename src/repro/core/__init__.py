@@ -3,14 +3,15 @@
 Public surface:
 
 - :class:`~repro.core.table.HashTable` -- the engine (bytes in, bytes out).
-- :class:`~repro.core.dbmap.HashDB` / :func:`~repro.core.dbmap.open` --
-  dict-like convenience layer.
 - :func:`~repro.core.table.suggest_parameters` -- Equation 1 helper.
 - :mod:`repro.core.hashfuncs` -- the provided hash functions.
 - :mod:`repro.core.compat` -- ndbm- and hsearch-compatible interfaces.
+
+The mapping interface (``db[key]``, str keys, dbm-style flags) is
+:func:`repro.open`, which wraps the engine in the hash access method
+(:mod:`repro.access`).
 """
 
-from repro.core.dbmap import HashDB, open
 from repro.core.errors import (
     BadFileError,
     ClosedError,
@@ -28,8 +29,6 @@ from repro.core.table import HashTable, TableStats, suggest_parameters
 
 __all__ = [
     "HashTable",
-    "HashDB",
-    "open",
     "TableStats",
     "suggest_parameters",
     "HASH_FUNCTIONS",

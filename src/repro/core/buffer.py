@@ -391,14 +391,6 @@ class BufferPool:
             hdr.unpin()
         return hdr
 
-    def latched(self, hdr: BufferHeader):
-        """Context manager guarding byte-level access to ``hdr.page``.
-
-        The shared no-op guard in non-concurrent pools, the page's latch
-        otherwise.  Never call back into the pool while holding it."""
-        latch = hdr.latch
-        return NULL_GUARD if latch is None else latch
-
     # -- state changes -----------------------------------------------------------
 
     def mark_dirty(self, hdr: BufferHeader) -> None:
@@ -690,13 +682,6 @@ class BufferPool:
         self._dirty.clear()
 
     # -- introspection -----------------------------------------------------------------
-
-    def resident_keys(self) -> list[BufferKey]:
-        mutex = self.mutex
-        if mutex is None:
-            return list(self._pool.keys())
-        with mutex:
-            return list(self._pool.keys())
 
     def dirty_count(self) -> int:
         """Resident dirty buffers: O(1), and safe from any thread."""

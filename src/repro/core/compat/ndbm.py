@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 
 from repro.core.constants import DEFAULT_CACHESIZE
+from repro.core.errors import InvalidParameterError
 from repro.core.table import HashTable
 
 #: dbm_store flags (values match the historical header).
@@ -84,6 +85,8 @@ def dbm_open(
     ``'n'``).  Unlike real ndbm no ``.dir``/``.pag`` pair is created -- the
     new package stores everything in the single file ``file``.
     """
+    if flags not in ("r", "w", "c", "n"):
+        raise InvalidParameterError(f"flags must be 'r', 'w', 'c' or 'n', got {flags!r}")
     path = os.fspath(file)
     exists = os.path.exists(path)
     if flags == "n" or (flags == "c" and not exists):

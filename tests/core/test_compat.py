@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import InvalidParameterError
 from repro.core.compat import hsearch as hs
 from repro.core.compat.hsearch import ENTER, FIND, HsearchCompat
 from repro.core.compat.ndbm import DBM_INSERT, DBM_REPLACE, NdbmCompat, dbm_open
@@ -79,6 +80,18 @@ class TestNdbmCompat:
         with dbm_open(tmp_path / "db", "c") as db:
             db.store(b"k", b"v")
             assert db.table.get(b"k") == b"v"
+
+    def test_bad_open_flag_rejected(self, tmp_path):
+        existing = tmp_path / "db"
+        with dbm_open(existing, "c") as db:
+            db.store(b"k", b"v")
+        before = existing.read_bytes()
+        with pytest.raises(InvalidParameterError):
+            dbm_open(existing, "x")
+        assert existing.read_bytes() == before
+        with pytest.raises(InvalidParameterError):
+            dbm_open(tmp_path / "missing", "x")
+        assert not (tmp_path / "missing").exists()
 
 
 class TestHsearchCompat:

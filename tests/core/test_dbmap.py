@@ -1,14 +1,15 @@
-"""Tests for the dict-like HashDB wrapper and module-level open()."""
+"""Tests for the mapping interface and dbm-style flags of ``repro.open``
+(also exported as ``repro.hash_open``)."""
 
 import pytest
 
 import repro
-from repro.core.dbmap import HashDB, open as hash_open
+from repro.access.db import open as hash_open
 
 
 class TestHashDB:
-    def test_mapping_protocol(self, mem_table):
-        db = HashDB(mem_table)
+    def test_mapping_protocol(self):
+        db = hash_open()
         db[b"k"] = b"v"
         assert db[b"k"] == b"v"
         assert b"k" in db
@@ -16,37 +17,37 @@ class TestHashDB:
         del db[b"k"]
         assert len(db) == 0
 
-    def test_str_keys_encoded_utf8(self, mem_table):
-        db = HashDB(mem_table)
+    def test_str_keys_encoded_utf8(self):
+        db = hash_open()
         db["clé"] = "valüe"
         assert db["clé"] == "valüe".encode("utf-8")
         assert db[b"cl\xc3\xa9"] == "valüe".encode("utf-8")
 
-    def test_missing_key_raises(self, mem_table):
-        db = HashDB(mem_table)
+    def test_missing_key_raises(self):
+        db = hash_open()
         with pytest.raises(KeyError):
             db[b"nope"]
         with pytest.raises(KeyError):
             del db[b"nope"]
 
-    def test_get_default(self, mem_table):
-        db = HashDB(mem_table)
+    def test_get_default(self):
+        db = hash_open()
         assert db.get(b"nope") is None
-        assert db.get(b"nope", b"d") == b"d"
+        assert db.get_default(b"nope", b"d") == b"d"
 
-    def test_bad_key_type(self, mem_table):
-        db = HashDB(mem_table)
+    def test_bad_key_type(self):
+        db = hash_open()
         with pytest.raises(TypeError):
             db[42] = b"v"
 
-    def test_iteration_and_update(self, mem_table):
-        db = HashDB(mem_table)
+    def test_iteration_and_update(self):
+        db = hash_open()
         db.update({b"a": b"1", b"b": b"2"})
         assert sorted(db) == [b"a", b"b"]
         assert sorted(db.items()) == [(b"a", b"1"), (b"b", b"2")]
 
-    def test_setdefault_and_pop(self, mem_table):
-        db = HashDB(mem_table)
+    def test_setdefault_and_pop(self):
+        db = hash_open()
         assert db.setdefault(b"k", b"v") == b"v"
         assert db.setdefault(b"k", b"other") == b"v"
         assert db.pop(b"k") == b"v"
@@ -98,8 +99,8 @@ class TestOpen:
             assert db[b"k"] == b"v"
 
     def test_repro_hash_open_is_the_same_function(self):
-        # repro.open is the unified access-method entry point; the
-        # dbm-style hash mapping stays available as repro.hash_open
+        # repro.open is the unified access-method entry point; repro.hash_open
+        # is kept as an alias of it
         assert repro.hash_open is hash_open
         from repro.access.db import open as unified_open
 
