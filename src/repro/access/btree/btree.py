@@ -1,7 +1,9 @@
 """The btree access method: a paged B+tree.
 
 Shares the substrate of the hash package -- any :class:`repro.storage.Pager`
-under an LRU :class:`BufferPool` -- and exposes the
+under an LRU :class:`~repro.core.buffer.BufferPool`, and the engine spine
+(:class:`~repro.core.engine.Engine`: locking, the write-ahead log,
+transactions, sync/close and compact) -- and exposes the
 db(3) interface of :class:`repro.access.api.AccessMethod`, with keys kept
 in sorted order (optionally under a user comparator, db(3)'s
 ``bt_compare``).
@@ -39,30 +41,10 @@ from repro.access.btree.nodes import (
     NodeView,
     split_cut,
 )
-from repro.core.buffer import BufferPool
-from repro.core.errors import (
-    BadFileError,
-    ClosedError,
-    InvalidParameterError,
-    ReadOnlyError,
-    TransactionError,
-)
-from repro.core.locking import NULL_GUARD, RWLock
-from repro.core.wal import (
-    DEFAULT_CHECKPOINT_BYTES,
-    DURABILITY_LEVELS,
-    MemByteStore,
-    TransactionContext,
-    TransactionManager,
-    WALPager,
-    WriteAheadLog,
-    wal_path_for,
-)
+from repro.core.engine import Engine
+from repro.core.errors import BadFileError, InvalidParameterError
+from repro.core.wal import DEFAULT_CHECKPOINT_BYTES
 from repro.core.wal import recover as wal_recover
-from repro.obs.hooks import TraceHooks
-from repro.obs.registry import Registry
-from repro.obs.trace import TraceSupport
-from repro.storage.bytefile import ByteFile
 from repro.storage.pager import open_pager
 
 BTREE_MAGIC = 0x42543931  # "BT91"
@@ -77,10 +59,11 @@ MAX_BSIZE = 65536
 DEFAULT_CACHESIZE = 256 * 1024
 
 
-class BTree(TraceSupport, AccessMethod):
+class BTree(Engine, AccessMethod):
     """A B+tree of byte-string pairs with sorted iteration."""
 
     type = DB_BTREE
+    _noun = "btree"
 
     # ------------------------------------------------------------------ setup
 
@@ -97,73 +80,21 @@ class BTree(TraceSupport, AccessMethod):
         wal_wrapper=None,
         wal_fresh: bool = False,
     ) -> None:
-        if durability not in DURABILITY_LEVELS:
-            raise InvalidParameterError(
-                f"durability must be one of {DURABILITY_LEVELS}, "
-                f"got {durability!r}"
-            )
-        self._file = file
-        self.readonly = readonly
-        self._closed = False
-        #: table-level rwlock and reusable guards (see docs/CONCURRENCY.md);
-        #: no-op objects when single-threaded
-        self.concurrent = concurrent
-        self._lock = RWLock() if concurrent else None
-        self._rd = self._lock.reader if concurrent else NULL_GUARD
-        self._wr = self._lock.writer if concurrent else NULL_GUARD
         self._stats_lock = threading.Lock() if concurrent else None
-        #: metrics tree rooted at this tree; ``stat()`` renders it
-        self.obs = Registry("btree", enabled=observability)
-        if concurrent:
-            self.obs.make_threadsafe()
-            file.stats.make_threadsafe()
-        self.hooks = TraceHooks()
-        # Durability: same interposition as the hash method -- the WAL
-        # sits between the buffer pool and the real pager, so write-back
-        # lands in the log and the tree file is only written by
-        # checkpoints/recovery (see repro.core.wal).
-        self.durability = durability if not readonly else "none"
-        self._wal: WriteAheadLog | None = None
-        self._txn: TransactionManager | None = None
-        self.wal_recovery: dict | None = None
-        if self.durability != "none":
-            path = getattr(file, "path", None)
-            if path is None:
-                # RAM trees get transaction semantics, no durable sidecar
-                store = MemByteStore()
-                fresh = True
-            else:
-                wpath = wal_path_for(path)
-                fresh = wal_fresh or not os.path.exists(wpath)
-                store = ByteFile(wpath, create=fresh)
-            if wal_wrapper is not None:
-                store = wal_wrapper(store)
-            if concurrent:
-                store.stats.make_threadsafe()
-            self._wal = WriteAheadLog(store, file.pagesize, fresh=fresh)
-            self._file = WALPager(file, self._wal)
-        self.pool = BufferPool(
-            self._file,
-            file.pagesize,
-            cachesize,
-            lambda pgno: pgno,
-            obs=self.obs.child("buffer"),
-            hooks=self.hooks,
+        super().__init__(
+            file,
+            name="btree",
+            bsize=file.pagesize,
+            cachesize=cachesize,
+            addresser=lambda pgno: pgno,
+            readonly=readonly,
+            observability=observability,
             concurrent=concurrent,
+            durability=durability,
+            wal_checkpoint_bytes=wal_checkpoint_bytes,
+            wal_wrapper=wal_wrapper,
+            wal_fresh=wal_fresh,
         )
-        _ops = self.obs.child("ops")
-        self._h_get = _ops.histogram("get")
-        self._h_put = _ops.histogram("put")
-        self._h_delete = _ops.histogram("delete")
-        self._h_split = _ops.histogram("split")
-        self._clock = time.perf_counter if observability else None
-        self._file.on_page_io = self._page_io_event
-        # tracer (disabled) + fault/lock-wait emit adapters (obs.trace)
-        self._init_tracing()
-        if hasattr(file, "on_fault"):
-            file.on_fault = self._fault_event
-        if concurrent:
-            self._lock.wait_hook = self._lock_wait_event
         self._gets = 0
         self._puts = 0
         self._deletes = 0
@@ -180,29 +111,6 @@ class BTree(TraceSupport, AccessMethod):
         self.free_head = 0
         self.npages = 0
         self.nkeys = 0
-        if self._wal is not None:
-            self._txn = TransactionManager(
-                wal=self._wal,
-                walpager=self._file,
-                inner=file,
-                pool=self.pool,
-                write_meta=self._write_meta,
-                snapshot=self._txn_snapshot,
-                restore=self._txn_restore,
-                check=self._check_writable,
-                guard=self._wr,
-                hooks=self.hooks,
-                obs=self.obs.child("wal"),
-                fsync=(self.durability == "wal+fsync"),
-                checkpoint_bytes=wal_checkpoint_bytes,
-            )
-
-    def _page_io_event(self, kind: str, pageno: int, nbytes: int) -> None:
-        hooks = self.hooks
-        if hooks.on_page_io:
-            hooks.emit(
-                "on_page_io", {"kind": kind, "pageno": pageno, "nbytes": nbytes}
-            )
 
     def _lt(self, a: bytes, b: bytes) -> bool:
         if self._compare is None:
@@ -842,49 +750,6 @@ class BTree(TraceSupport, AccessMethod):
 
     # ----------------------------------------------------------- transactions
 
-    def _require_txn(self) -> TransactionManager:
-        if self._txn is None:
-            raise TransactionError(
-                "transactions require opening the btree with "
-                "durability='wal' or 'wal+fsync'"
-            )
-        return self._txn
-
-    def begin(self) -> None:
-        """Open an explicit transaction (atomic across crashes, undone by
-        :meth:`abort`); holds the write lock until commit/abort."""
-        self._check_writable()
-        self._require_txn().begin()
-
-    def commit(self) -> None:
-        """Commit the open transaction (group commit shares fsyncs under
-        ``durability='wal+fsync'``)."""
-        self._check_open()
-        self._require_txn().commit()
-
-    def abort(self) -> None:
-        """Roll back the open transaction to its :meth:`begin` point."""
-        self._check_open()
-        self._require_txn().abort()
-
-    def transaction(self) -> TransactionContext:
-        """``with tree.transaction(): ...`` -- commit on clean exit,
-        abort if the body raises."""
-        return TransactionContext(self)
-
-    @property
-    def in_transaction(self) -> bool:
-        return self._txn is not None and self._txn.in_transaction
-
-    def checkpoint(self) -> int:
-        """Force a WAL checkpoint; returns pages transferred.  Raises
-        :class:`TransactionError` inside an open transaction (or without
-        ``durability=``)."""
-        self._check_writable()
-        txn = self._require_txn()
-        with self._wr:
-            return txn.checkpoint_locked()
-
     def _txn_snapshot(self) -> tuple:
         """The volatile meta state abort must rewind; page bytes need no
         snapshot (abort drops their buffers, rereads old images)."""
@@ -895,7 +760,7 @@ class BTree(TraceSupport, AccessMethod):
 
     # -------------------------------------------------------------- compaction
 
-    def _scan_items(self) -> list[tuple[bytes, bytes]]:
+    def _live_items(self) -> list[tuple[bytes, bytes]]:
         """Every (key, data) pair in order, caller holds a lock.  Each
         leaf is pinned while its entries are copied out, then big data is
         resolved from overflow chains (which may evict the leaf)."""
@@ -919,58 +784,12 @@ class BTree(TraceSupport, AccessMethod):
             pgno = nxt
         return out
 
-    def compact(self) -> dict:
-        """Rewrite the tree into its minimal on-disk form in place.
+    def _write_marker(self) -> tuple[int, int]:
+        return (self._puts, self._deletes)
 
-        The btree's deletion policy is lazy (empty leaves stay linked,
-        freed pages queue on an in-file free list), so delete churn
-        leaves the file bigger than the data.  Compact rebuilds the tree
-        from its live pairs -- no free pages, no empty leaves, no orphan
-        overflow chains -- and swaps the image in.
-
-        Mostly-online, like the hash method's: the pairs are snapshotted
-        under the *read* lock, the replacement tree is built without any
-        lock, and only the final swap holds the write lock (a writer
-        slipping in between forces one exclusive rebuild).  Returns the
-        shared report dict (``before``/``after`` page and byte sizes,
-        ``pages_reclaimed``, ``nkeys``).
-
-        Under a WAL the swap is bracketed by checkpoints, so a crash
-        leaves either the old tree or the new one, never a mix.  Raises
-        :class:`TransactionError` inside an open transaction.
-        """
-        self._check_writable()
-        if self._txn is not None and self._txn.in_transaction:
-            raise TransactionError(
-                "compact() inside an open transaction; commit or abort first"
-            )
-        span = self.tracer.start("compact") if self.tracer.enabled else None
-        try:
-            report = self._compact_impl()
-        finally:
-            if span is not None:
-                self.tracer.end(span)
-        if self.hooks.on_compact:
-            self.hooks.emit("on_compact", dict(report))
-        return report
-
-    def _compact_impl(self) -> dict:
-        with self._rd:
-            self._check_writable()
-            items = self._scan_items()
-            marker = (self._puts, self._deletes)
-        temp = self._build_compact_image(items)
-        try:
-            with self._wr:
-                if (self._puts, self._deletes) != marker:
-                    # Writers slipped in between snapshot and swap: redo
-                    # the scan and build while exclusive (rare).
-                    temp.close()
-                    items = self._scan_items()
-                    temp = self._build_compact_image(items)
-                return self._compact_swap(temp, len(items))
-        finally:
-            temp.close()
+    def _logical_pages(self) -> int:
+        # the meta counter covers pages that so far live only in the pool
+        return self.npages
 
     def _build_compact_image(self, items) -> "BTree":
         """A pristine RAM twin of this tree holding ``items`` (already
@@ -991,111 +810,18 @@ class BTree(TraceSupport, AccessMethod):
             raise
         return temp
 
-    def _compact_swap(self, temp: "BTree", nkeys: int) -> dict:
-        """Replace this tree's file contents with ``temp``'s image.
-        Caller holds the write lock; ``temp`` is flushed and in RAM."""
-        # logical size: unflushed pages live only in the pool, so the
-        # meta counter can be ahead of the file
-        before_pages = max(self._file.npages(), self.npages)
-        before_bytes = max(self._file.size_bytes(), self.npages * self.bsize)
-        txn = self._txn
-        if txn is not None:
-            # Quiesce: materialize everything logged so far, so the copy
-            # below is the only pending work in the log.
-            txn.checkpoint_locked()
-        self.pool.discard(lambda hdr: True)
-        src = temp._file
-        new_n = src.npages()
-        i = 0
-        while i < new_n:
-            j = min(new_n, i + 64)
-            blob = b"".join(src.read_page(p) for p in range(i, j))
-            self._file.write_pages(i, blob)
-            i = j
+    def _adopt_image(self, temp: "BTree") -> None:
+        """Take over the meta fields of the image :meth:`compact` copied in."""
         self.root = temp.root
         self.free_head = temp.free_head
         self.npages = temp.npages
         self.nkeys = temp.nkeys
-        self._file.freelist.clear()
-        if txn is not None:
-            # Commit + transfer the new image, THEN drop the tail: the
-            # truncate only ever follows a fully materialized file.
-            txn.checkpoint_locked()
-            if self._file.npages() > new_n:
-                self._file.truncate(new_n)
-                self._file.sync()
-        else:
-            self._write_meta()
-            if self._file.npages() > new_n:
-                self._file.truncate(new_n)
-            self._file.sync()
-        self.pool._hole_threshold = new_n
         self._compactions += 1
-        after_pages = self._file.npages()
-        return {
-            "nkeys": nkeys,
-            "before": {"pages": before_pages, "bytes": before_bytes},
-            "after": {"pages": after_pages, "bytes": self._file.size_bytes()},
-            "pages_reclaimed": max(0, before_pages - after_pages),
-            "pagesize": self.bsize,
-        }
 
-    # -------------------------------------------------------------- maintenance
-
-    def sync(self) -> None:
-        """Batched page write-back, meta write, one group sync -- the
-        shared flush-before-sync ordering (see docs/STORAGE.md).  In WAL
-        mode this is a full checkpoint and raises
-        :class:`TransactionError` inside an open transaction."""
-        if self.tracer.enabled:
-            self._traced_op("sync", None, self._wr, self._sync_impl)
-            return
-        with self._wr:
-            self._sync_impl()
-
-    def _sync_impl(self) -> None:
-        self._check_open()
-        if self._txn is not None:
-            self._txn.checkpoint_locked()
-            return
-        self.pool.flush()
-        self._write_meta()
-        self._file.sync()
-
-    def close(self) -> None:
-        """Flush, sync and release; idempotent like every backend's.  An
-        open uncommitted transaction is ROLLED BACK first -- close never
-        half-flushes work that was never committed."""
-        with self._wr:
-            if self._closed:
-                return
-            txn = self._txn
-            if not self.readonly:
-                if txn is not None:
-                    txn.abort_for_close()
-                    txn.checkpoint_locked()
-                    self.pool.drop_all()
-                else:
-                    self.pool.drop_all()
-                    self._write_meta()
-                    self._file.sync()
-            self._closed = True
-            self._file.close()
-            if txn is not None:
-                txn.close()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
+    # -------------------------------------------------------------- inspection
 
     def __len__(self) -> int:
         return self.nkeys
-
-    def stat(self) -> dict:
-        """The tree's metrics as the shared nested-dict shape (same
-        top-level keys as the hash method's ``stat``)."""
-        with self._rd:
-            return self._stat_impl()
 
     def _stat_impl(self) -> dict:
         self._check_open()
@@ -1129,21 +855,6 @@ class BTree(TraceSupport, AccessMethod):
                 "compactions": self._compactions,
             },
         }
-
-    @property
-    def io_stats(self):
-        return self._file.stats
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise ClosedError("operation on closed BTree")
-
-    def _check_writable(self) -> None:
-        self._check_open()
-        if self.readonly:
-            raise ReadOnlyError("btree is read-only")
-
-    # -------------------------------------------------------------- inspection
 
     def check_invariants(self) -> None:
         """Structural verification: sorted leaves, consistent links, key

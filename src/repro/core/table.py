@@ -13,7 +13,9 @@ A :class:`HashTable` composes the substrates:
 - an LRU buffer pool (:mod:`repro.core.buffer`);
 - overflow-page bitmaps (:mod:`repro.core.bitmaps`);
 - big key/data chains (:mod:`repro.core.bigpairs`);
-- the segmented bucket array (:mod:`repro.core.bucketarray`).
+- the segmented bucket array (:mod:`repro.core.bucketarray`);
+- the engine spine it shares with the btree (:mod:`repro.core.engine`):
+  locking, the write-ahead log, transactions, sync/close and compact.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from repro.core.addressing import log2_ceil
 from repro.core.bigpairs import BigPairStore
 from repro.core.bitmaps import OvflAllocator
 from repro.core.bucketarray import BucketArray
-from repro.core.buffer import BufferHeader, BufferPool
+from repro.core.buffer import BufferHeader
 from repro.core.constants import (
     BIG_KEY_PREFIX,
     CHARKEY,
@@ -43,37 +45,23 @@ from repro.core.constants import (
     MIN_BSIZE,
     NO_OADDR,
 )
+from repro.core.engine import Engine
 from repro.core.errors import (
     BadFileError,
-    ClosedError,
     ConcurrentModificationError,
     HashFunctionMismatchError,
     InvalidParameterError,
-    ReadOnlyError,
-    TransactionError,
 )
 from repro.core.hashfuncs import HashFunction, get_hash_function
 from repro.core.header import Header
-from repro.core.locking import NULL_GUARD, RWLock
 from repro.core.pages import PageView, is_big_pair
 from repro.core.wal import (
     DEFAULT_CHECKPOINT_BYTES,
-    DURABILITY_LEVELS,
     FT_DELETE,
     FT_PUT,
-    MemByteStore,
-    TransactionContext,
-    TransactionManager,
-    WALPager,
-    WriteAheadLog,
     recover as wal_recover,
-    wal_path_for,
 )
-from repro.storage.bytefile import ByteFile
 from repro.storage.freelist import FreeListError
-from repro.obs.hooks import TraceHooks
-from repro.obs.registry import Registry
-from repro.obs.trace import TraceSupport
 from repro.storage.pager import open_pager
 
 
@@ -156,7 +144,7 @@ def suggest_parameters(
     return size, ffactor
 
 
-class HashTable(TraceSupport):
+class HashTable(Engine):
     """A disk- or memory-resident linear hash table of byte-string pairs.
 
     Construct with :meth:`create` or :meth:`open_file` (or the module-level
@@ -201,126 +189,41 @@ class HashTable(TraceSupport):
             raise InvalidParameterError(
                 f"min_fill must be in [0.0, 1.0), got {min_fill}"
             )
-        if durability not in DURABILITY_LEVELS:
-            raise InvalidParameterError(
-                f"durability must be one of {DURABILITY_LEVELS}, "
-                f"got {durability!r}"
-            )
-        self._file = file
         self.header = header
         self._hash = hashfn
-        self.readonly = readonly
-        self._closed = False
         self.split_policy = split_policy
         #: utilization floor for linear-hash contraction; 0.0 keeps the
         #: paper's never-contract behavior (footnote 6)
         self.min_fill = min_fill
         self.stats = TableStats()
-        #: table-level rwlock (hierarchy level 1) and its reusable guards;
-        #: ``concurrent=False`` keeps both guards the shared no-op object,
-        #: so single-threaded operations never touch a lock.
-        self.concurrent = concurrent
-        self._lock = RWLock() if concurrent else None
-        self._rd = self._lock.reader if concurrent else NULL_GUARD
-        self._wr = self._lock.writer if concurrent else NULL_GUARD
+        if concurrent:
+            self.stats.make_threadsafe()
         #: bumped by every structural change (bucket split, overflow-page
         #: reclaim); concurrent cursors compare it to fail fast instead of
         #: silently skipping or double-returning relocated pairs.
         self._structure_version = 0
-        #: metrics tree rooted at this table; ``stat()`` renders it.  With
-        #: ``observability=False`` every instrument is a shared null object
-        #: and the op wrappers skip the clock entirely.
-        self.obs = Registry("hash", enabled=observability)
-        if concurrent:
-            self.stats.make_threadsafe()
-            self.obs.make_threadsafe()
-            file.stats.make_threadsafe()
-        self.hooks = TraceHooks()
-        # disabled tracer until enable_tracing(): each traced call site
-        # costs one attribute load + truth test (see obs.trace.TraceSupport)
-        self._init_tracing()
-        # Durability: interpose the write-ahead log between the buffer
-        # pool and the real pager, so page write-back lands in the log
-        # and the table file is only written by checkpoints/recovery
-        # (see repro.core.wal).  Read-only tables skip the machinery --
-        # recovery already ran at open, and nothing will be written.
-        self.durability = durability if not readonly else "none"
-        self._wal: WriteAheadLog | None = None
-        self._txn: TransactionManager | None = None
-        #: what replay did at open time (None when no recovery ran)
-        self.wal_recovery: dict | None = None
-        if self.durability != "none":
-            path = getattr(file, "path", None)
-            if path is None:
-                # Anonymous temp / RAM tables: full transaction semantics
-                # (atomic commit/abort), no durable sidecar -- same
-                # lifetime as the table itself.
-                store = MemByteStore()
-                fresh = True
-            else:
-                wpath = wal_path_for(path)
-                fresh = wal_fresh or not os.path.exists(wpath)
-                store = ByteFile(wpath, create=fresh)
-            if wal_wrapper is not None:
-                store = wal_wrapper(store)
-            if concurrent:
-                store.stats.make_threadsafe()
-            self._wal = WriteAheadLog(store, header.bsize, fresh=fresh)
-            self._file = WALPager(file, self._wal)
-        self.pool = BufferPool(
-            self._file,
-            header.bsize,
-            cachesize,
-            self._address_of,
-            policy=buffer_policy,
-            obs=self.obs.child("buffer"),
-            hooks=self.hooks,
+        super().__init__(
+            file,
+            name="hash",
+            bsize=header.bsize,
+            cachesize=cachesize,
+            addresser=self._address_of,
+            readonly=readonly,
+            observability=observability,
             concurrent=concurrent,
+            durability=durability,
+            wal_checkpoint_bytes=wal_checkpoint_bytes,
+            wal_audit=wal_audit,
+            wal_wrapper=wal_wrapper,
+            wal_fresh=wal_fresh,
+            buffer_policy=buffer_policy,
         )
-        _ops = self.obs.child("ops")
-        self._ops = _ops
-        self._h_get = _ops.histogram("get")
-        self._h_put = _ops.histogram("put")
-        self._h_delete = _ops.histogram("delete")
-        self._h_split = _ops.histogram("split")
         # batch-op histograms are created lazily on first use, keeping the
         # metrics-tree shape of batch-free workloads identical to before
         self._h_put_many = None
         self._h_get_many = None
         self._h_delete_many = None
         self._h_merge = None
-        self._clock = time.perf_counter if observability else None
-        # Page-I/O trace events piggyback on the file's callback slot; the
-        # storage layer stays ignorant of the hook machinery.  The slot is
-        # wired only while on_page_io has subscribers (hook fast path):
-        # an unobserved table leaves it None, and the storage layer's
-        # ``cb is None`` check makes every page read/write emit-free.
-        self.hooks.on_change = self._hooks_changed
-        self._hooks_changed("on_page_io")
-        # Fault injection (FaultyPager) exposes the same style of slot;
-        # route it into on_fault so the flight recorder logs the injected
-        # fault before the crash it causes.
-        if hasattr(file, "on_fault"):
-            file.on_fault = self._fault_event
-        if concurrent:
-            self._lock.wait_hook = self._lock_wait_event
-        if self._wal is not None:
-            self._txn = TransactionManager(
-                wal=self._wal,
-                walpager=self._file,
-                inner=file,
-                pool=self.pool,
-                write_meta=self._write_header,
-                snapshot=self._txn_snapshot,
-                restore=self._txn_restore,
-                check=self._check_writable,
-                guard=self._wr,
-                hooks=self.hooks,
-                obs=self.obs.child("wal"),
-                fsync=(self.durability == "wal+fsync"),
-                checkpoint_bytes=wal_checkpoint_bytes,
-                audit=wal_audit,
-            )
         self.allocator = OvflAllocator(header, self.pool)
         self.bigstore = BigPairStore(self.pool, self.allocator, hooks=self.hooks)
         self.buckets = BucketArray()
@@ -456,7 +359,7 @@ class HashTable(TraceSupport):
             wal_fresh=True,
             min_fill=min_fill,
         )
-        table._write_header()
+        table._write_meta()
         if table._txn is not None:
             # Materialize the freshly logged header into the table file
             # right away: a crash after create() then finds a valid (if
@@ -550,33 +453,7 @@ class HashTable(TraceSupport):
             return addressing.bucket_to_page(addr, h.hdr_pages, h.spares)
         return addressing.oaddr_to_page(addr, h.hdr_pages, h.spares)
 
-    def _page_io_event(self, kind: str, pageno: int, nbytes: int) -> None:
-        hooks = self.hooks
-        if hooks.on_page_io:
-            hooks.emit(
-                "on_page_io", {"kind": kind, "pageno": pageno, "nbytes": nbytes}
-            )
-
-    def _hooks_changed(self, event: str | None) -> None:
-        """``TraceHooks.on_change`` callback: (un)wire the storage layer's
-        per-I/O callback to track on_page_io subscriptions, so tables with
-        no subscribers pay zero Python calls per page read/write."""
-        if event is not None and event != "on_page_io":
-            return
-        self._file.on_page_io = (
-            self._page_io_event if self.hooks.on_page_io else None
-        )
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise ClosedError("operation on closed HashTable")
-
-    def _check_writable(self) -> None:
-        self._check_open()
-        if self.readonly:
-            raise ReadOnlyError("table is read-only")
-
-    def _write_header(self) -> None:
+    def _write_meta(self) -> None:
         fl = self._file.freelist
         if fl.dirty:
             # The chain lives in the free pages themselves; writing it
@@ -1177,7 +1054,7 @@ class HashTable(TraceSupport):
                 self._place_pair(bucket, k, d)
         h.nkeys += n
         self.stats.puts += n
-        self._write_header()
+        self._write_meta()
         return n
 
     # ---------------------------------------------------------------- splits
@@ -1498,55 +1375,6 @@ class HashTable(TraceSupport):
 
     # ----------------------------------------------------------- transactions
 
-    def _require_txn(self) -> TransactionManager:
-        if self._txn is None:
-            raise TransactionError(
-                "transactions require opening the table with "
-                "durability='wal' or 'wal+fsync'"
-            )
-        return self._txn
-
-    def begin(self) -> None:
-        """Open an explicit transaction: every mutation until
-        :meth:`commit` is atomic (all-or-nothing across crashes) and
-        :meth:`abort` undoes all of them.  Holds the table's write lock
-        until commit/abort, so transactions are thread-affine and do
-        not nest.  Requires ``durability='wal'`` or ``'wal+fsync'``."""
-        self._check_writable()
-        self._require_txn().begin()
-
-    def commit(self) -> None:
-        """Commit the open transaction.  Under ``durability='wal+fsync'``
-        this blocks until the log is fsynced (group commit shares that
-        fsync among concurrent committers)."""
-        self._check_open()
-        self._require_txn().commit()
-
-    def abort(self) -> None:
-        """Roll back the open transaction: logged frames are orphaned
-        and the in-memory state rewinds to the :meth:`begin` point."""
-        self._check_open()
-        self._require_txn().abort()
-
-    def transaction(self) -> TransactionContext:
-        """``with table.transaction(): ...`` -- commit on clean exit,
-        abort if the body raises."""
-        return TransactionContext(self)
-
-    @property
-    def in_transaction(self) -> bool:
-        return self._txn is not None and self._txn.in_transaction
-
-    def checkpoint(self) -> int:
-        """Force a WAL checkpoint: committed pages move into the table
-        file, the file is fsynced, the log is truncated.  Returns the
-        number of pages transferred.  Raises :class:`TransactionError`
-        inside an open transaction (or without ``durability=``)."""
-        self._check_writable()
-        txn = self._require_txn()
-        with self._wr:
-            return txn.checkpoint_locked()
-
     def _txn_snapshot(self) -> tuple[Header, tuple[int, ...]]:
         """Copy out the volatile state abort must rewind: the header
         (with its mutable spares/bitmaps lists) and the freelist's page
@@ -1577,29 +1405,6 @@ class HashTable(TraceSupport):
 
     # ------------------------------------------------------------ maintenance
 
-    def sync(self) -> None:
-        """Flush dirty pages and the header, then fsync -- the shared
-        flush-before-sync ordering of every access method (see
-        docs/STORAGE.md): batched page write-back, header/meta write,
-        one group sync.  In WAL mode this is a full checkpoint (commit
-        the implicit transaction, transfer, truncate the log), and
-        raises :class:`TransactionError` inside an open transaction."""
-        if self.tracer.enabled:
-            self._traced_op("sync", None, self._wr, self._sync_impl)
-            return
-        with self._wr:
-            self._sync_impl()
-
-    def _sync_impl(self) -> None:
-        self._check_open()
-        if self._txn is not None:
-            self._txn.checkpoint_locked()
-            return
-        self.pool.flush()
-        self._trim_tail()
-        self._write_header()
-        self._file.sync()
-
     def _trim_tail(self) -> None:
         """Give trailing free pages back to the filesystem.
 
@@ -1618,66 +1423,17 @@ class HashTable(TraceSupport):
 
     # -------------------------------------------------------------- compaction
 
-    def compact(self) -> dict:
-        """Rewrite the table into pristine, presized form in place.
+    def _live_items(self) -> list:
+        return list(self._iter_items())
 
-        Reclaims every dead page churn left behind: the result is
-        byte-for-byte what :meth:`bulk_load` of the surviving pairs into
-        a fresh table would produce -- minimal file size AND minimal
-        lookup I/O (no overflow chains the survivors don't need).
+    def _write_marker(self) -> tuple[int, int, int]:
+        return (self.stats.puts, self.stats.deletes, self._structure_version)
 
-        Mostly-online: the live pairs are snapshotted under the *read*
-        lock and the replacement image is built without any table lock;
-        only the final swap holds the write lock (if a writer slipped in
-        between snapshot and swap, the build redoes itself exclusively
-        -- detected via the op counters, so the swapped image is never
-        stale).  Returns a report dict (``before``/``after`` page and
-        byte sizes, ``pages_reclaimed``, ``nkeys``).
-
-        Under a WAL the swap is bracketed by checkpoints, so a crash at
-        any point leaves either the old table or the new one, never a
-        mix.  Without a WAL, compact carries the same mid-operation
-        crash caveat as any structural write.  Raises
-        :class:`TransactionError` inside an open transaction.
-        """
-        self._check_writable()
-        if self._txn is not None and self._txn.in_transaction:
-            raise TransactionError(
-                "compact() inside an open transaction; commit or abort first"
-            )
-        span = (
-            self.tracer.start("compact") if self.tracer.enabled else None
-        )
-        try:
-            report = self._compact_impl()
-        finally:
-            if span is not None:
-                self.tracer.end(span)
-        if self.hooks.on_compact:
-            self.hooks.emit("on_compact", dict(report))
-        return report
-
-    def _compact_impl(self) -> dict:
-        with self._rd:
-            self._check_writable()
-            items = list(self._iter_items())
-            marker = (self.stats.puts, self.stats.deletes, self._structure_version)
-        temp = self._build_compact_image(items)
-        try:
-            with self._wr:
-                now = (
-                    self.stats.puts, self.stats.deletes, self._structure_version
-                )
-                if now != marker:
-                    # Writers slipped in between snapshot and swap: redo
-                    # the snapshot and build while exclusive (rare --
-                    # correctness over the lost concurrency of one build).
-                    temp.close()
-                    items = list(self._iter_items())
-                    temp = self._build_compact_image(items)
-                return self._compact_swap(temp, len(items))
-        finally:
-            temp.close()
+    def _logical_pages(self) -> int:
+        """Pages the file spans once the pool's dirty buffers are written:
+        bucket pages of a presized table can be trailing holes, so the
+        header's layout would over-count them."""
+        return max((hdr.pageno for hdr in self.pool._dirty), default=-1) + 1
 
     def _build_compact_image(self, items) -> "HashTable":
         """A pristine, presized RAM twin of this table loaded with
@@ -1702,93 +1458,20 @@ class HashTable(TraceSupport):
             raise
         return temp
 
-    def _compact_swap(self, temp: "HashTable", nkeys: int) -> dict:
-        """Replace this table's file contents with ``temp``'s image.
-        Caller holds the write lock; ``temp`` is flushed and in RAM."""
-        before_pages = self._file.npages()
-        before_bytes = self._file.size_bytes()
-        txn = self._txn
-        if txn is not None:
-            # Quiesce: materialize everything logged so far, so the copy
-            # below is the only pending work in the log.
-            txn.checkpoint_locked()
-        self.pool.discard(lambda hdr: True)
-        src = temp._file
-        new_n = src.npages()
-        ps = self.header.bsize
-        i = 0
-        while i < new_n:
-            j = min(new_n, i + 64)
-            blob = b"".join(src.read_page(p) for p in range(i, j))
-            self._file.write_pages(i, blob)
-            i = j
+    def _adopt_image(self, temp: "HashTable") -> None:
+        """Take over the header of the image :meth:`compact` copied in,
+        IN PLACE (the allocator and big-pair store hold references)."""
         th = temp.header
         h = self.header
         for f in dataclasses.fields(h):
             setattr(h, f.name, getattr(th, f.name))
         h.spares = list(th.spares)
         h.bitmaps = list(th.bitmaps)
-        self._file.freelist.clear()
         h.free_head = 0
         self.buckets.shrink_to(h.max_bucket + 1)
         self.buckets.grow_to(h.max_bucket + 1)
         self._structure_version += 1
-        if txn is not None:
-            # Commit + transfer the new image, THEN drop the tail: the
-            # truncate only ever follows a fully materialized file.
-            txn.checkpoint_locked()
-            if self._file.npages() > new_n:
-                self._file.truncate(new_n)
-                self._file.sync()
-        else:
-            self._write_header()
-            if self._file.npages() > new_n:
-                self._file.truncate(new_n)
-            self._file.sync()
-        self.pool._hole_threshold = new_n
         self.stats.compactions += 1
-        after_pages = self._file.npages()
-        return {
-            "nkeys": nkeys,
-            "before": {"pages": before_pages, "bytes": before_bytes},
-            "after": {"pages": after_pages, "bytes": self._file.size_bytes()},
-            "pages_reclaimed": max(0, before_pages - after_pages),
-            "pagesize": ps,
-        }
-
-    def close(self) -> None:
-        """Flush, sync and release everything; idempotent (a second
-        close is a no-op); further operations raise.  An open
-        uncommitted transaction is ROLLED BACK first -- close never
-        half-flushes work that was never committed."""
-        with self._wr:
-            if self._closed:
-                return
-            txn = self._txn
-            if not self.readonly:
-                if txn is not None:
-                    txn.abort_for_close()
-                    txn.checkpoint_locked()
-                    self.pool.drop_all()
-                else:
-                    self.pool.drop_all()
-                    self._trim_tail()
-                    self._write_header()
-                    self._file.sync()
-            self._closed = True
-            self._file.close()
-            if txn is not None:
-                txn.close()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def __enter__(self) -> "HashTable":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # ------------------------------------------------------------- inspection
 
@@ -1800,25 +1483,9 @@ class HashTable(TraceSupport):
     def nbuckets(self) -> int:
         return self.header.max_bucket + 1
 
-    @property
-    def io_stats(self):
-        return self._file.stats
-
     def fill_ratio(self) -> float:
         """Current keys per bucket (compare against ffactor)."""
         return self.header.nkeys / (self.header.max_bucket + 1)
-
-    def stat(self) -> dict:
-        """The table's full metrics tree as one nested dict.
-
-        The top-level shape -- ``type``, ``nkeys``, ``ops`` (counts +
-        latency quantiles), ``buffer``, ``io``, ``method`` -- is shared by
-        every access method, so callers can report on any database the same
-        way.  With ``observability=False`` the latency entries are
-        shape-stable zeros; the counts are always live.
-        """
-        with self._rd:
-            return self._stat_impl()
 
     def _stat_impl(self) -> dict:
         self._check_open()

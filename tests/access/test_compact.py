@@ -110,6 +110,28 @@ class TestUniform:
         finally:
             db.close()
 
+    @pytest.mark.parametrize("type_", ["hash", "btree"])
+    def test_before_counts_unflushed_pages(self, tmp_path, type_):
+        # A pool big enough to hold every page: before the first sync the
+        # file holds only the header/meta page, the rest live in the pool.
+        params = dict(bsize=1024, cachesize=64 << 20)
+        if type_ == "hash":
+            params["ffactor"] = 8
+        twin = repro.open(tmp_path / "twin.db", type=type_, **params)
+        db = repro.open(tmp_path / "c.db", type=type_, **params)
+        try:
+            for i in range(3000):
+                twin.put(_key(type_, i), b"v" * 20)
+                db.put(_key(type_, i), b"v" * 20)
+            twin.sync()
+            synced = os.path.getsize(tmp_path / "twin.db")
+            report = db.compact()
+            assert report["before"]["bytes"] == synced
+            assert report["before"]["pages"] == synced // 1024
+        finally:
+            twin.close()
+            db.close()
+
     def test_compact_idempotent(self, tmp_path):
         db = db_open(tmp_path / "i.db", "hash", "c")
         try:

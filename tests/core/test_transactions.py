@@ -337,6 +337,48 @@ class TestAccessMethods:
             db.begin()
         db.close()
 
+    @pytest.mark.parametrize("kind", ["btree", "recno"])
+    def test_sync_inside_transaction_raises(self, tmp_path, kind):
+        db = repro.open(tmp_path / "db", type=kind, durability="wal")
+        db.begin()
+        with pytest.raises(TransactionError, match="sync"):
+            db.sync()
+        db.abort()
+        db.close()
+
+    @pytest.mark.parametrize("kind", ["btree", "recno"])
+    def test_checkpoint_inside_transaction_raises(self, tmp_path, kind):
+        db = repro.open(tmp_path / "db", type=kind, durability="wal")
+        db.begin()
+        with pytest.raises(TransactionError):
+            db.checkpoint()
+        db.abort()
+        db.close()
+
+    @pytest.mark.parametrize("kind", ["btree", "recno"])
+    def test_close_rolls_back_open_transaction(self, tmp_path, kind):
+        k1 = repro.access.recno.recno.encode_recno(1) if kind == "recno" else b"k1"
+        k2 = repro.access.recno.recno.encode_recno(2) if kind == "recno" else b"k2"
+        db = repro.open(tmp_path / "db", type=kind, durability="wal")
+        db.put(k1, b"committed")
+        db.begin()
+        db.put(k2, b"half")
+        db.close()
+        db = repro.open(tmp_path / "db", type=kind, durability="wal")
+        try:
+            assert db.get(k1) == b"committed"
+            assert db.get(k2) is None
+            assert len(db) == 1
+        finally:
+            db.close()
+
+    @pytest.mark.parametrize("kind", ["btree", "recno"])
+    def test_second_close_is_noop(self, tmp_path, kind):
+        db = repro.open(tmp_path / "db", type=kind, durability="wal")
+        db.close()
+        db.close()
+        assert db.closed
+
     def test_recno_abort_rewinds_record_count(self, tmp_path):
         r = repro.open(tmp_path / "r.db", type="recno", durability="wal")
         r.append(b"one")

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.access.btree.btree import BTree
 from repro.core.table import HashTable
 from repro.obs.hooks import TraceHooks
 
@@ -180,5 +181,28 @@ class TestEngineEmission:
                 assert set(p) == {"kind", "pageno", "nbytes"}
                 assert p["kind"] in ("read", "write")
                 assert p["nbytes"] > 0
+        finally:
+            t.close()
+
+    @pytest.mark.parametrize("engine", [HashTable, BTree])
+    def test_page_io_slot_tracks_subscribers(self, tmp_path, engine):
+        # Unobserved engines leave the storage layer's per-I/O callback
+        # slot empty, so page reads and writes cost no Python call.
+        t = engine.create(tmp_path / "t.db", cachesize=0)
+        try:
+            assert t._file.on_page_io is None
+            ios = []
+            t.hooks.subscribe("on_page_io", ios.append)
+            assert t._file.on_page_io is not None
+            for i in range(200):
+                t.put(b"k%04d" % i, b"v" * 40)
+            t.sync()
+            assert {p["kind"] for p in ios} >= {"write"}
+            t.hooks.unsubscribe("on_page_io", ios.append)
+            assert t._file.on_page_io is None
+            seen = len(ios)
+            t.put(b"after", b"v")
+            t.sync()
+            assert len(ios) == seen
         finally:
             t.close()

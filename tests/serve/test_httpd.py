@@ -7,6 +7,7 @@ import http.client
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -178,19 +179,23 @@ class TestDebugEndpoints:
         with Client(port=st.port) as c:
             for i in range(50):
                 c.put(b"t%d" % i, b"v")
-            doc = None
-            for _ in range(200):
+            # The 50 puts may span several sampling intervals (a slow
+            # runner, or PYTHONDEVMODE), so poll until the deltas summed
+            # over every sample account for all of them -- bounded well
+            # inside the ring's retention, so no sample falls off.
+            deadline = time.monotonic() + 3.0
+            while True:
                 _, body = _get(st, "/debug/timeseries")
                 doc = json.loads(body)
-                if doc["samples"]:
+                puts = sum(
+                    s["deltas"].get("server.ops.put", 0.0) for s in doc["samples"]
+                )
+                if puts >= 50 or time.monotonic() > deadline:
                     break
+                time.sleep(0.01)
             assert doc["samples"], "sampler task never recorded an entry"
         assert doc["interval"] == 0.05
-        deltas: dict = {}
-        for s in doc["samples"]:
-            for path, d in s["deltas"].items():
-                deltas[path] = deltas.get(path, 0.0) + d
-        assert deltas.get("server.ops.put") == pytest.approx(50.0)
+        assert puts == pytest.approx(50.0)
 
     def test_timeseries_off_without_http_facade(self, server_factory):
         st = server_factory()  # no HTTP port: nothing to serve it on
