@@ -14,7 +14,7 @@ Clients are *simulated*: one driver thread multiplexes all 100
 connections (send everything each client is allowed to have in flight,
 then harvest).  That keeps the measurement about the serving stack --
 100 real client threads would mostly benchmark GIL contention between
-the drivers and the server's engine thread.
+the drivers and the server's event-loop thread.
 
 The acceptance gate of the serving-layer PR: batched GET throughput
 must be **>= 3x** naive at 100 clients (the write path is recorded and

@@ -13,7 +13,7 @@ Quickstart::
     import repro
     from repro.serve import Server, ServerConfig, ServerThread, Client
 
-    db = repro.open("data.db", concurrent=True, durability="wal")
+    db = repro.open("data.db", durability="wal")
     with ServerThread(db, ServerConfig(port=0), owns_db=True) as st:
         with Client(port=st.port) as c:
             c.put(b"k", b"v")

@@ -4,9 +4,10 @@ into the engine's batch API.
 Each decoded operation becomes part of one :class:`_Run` on a single
 FIFO queue, in network-arrival order; the dispatcher task drains the
 queue, cuts a batch at the first *incompatible* run (different kind, or
-a different ``replace`` flag), and executes the whole thing in a worker
-thread through ``put_many``/``get_many`` -- one lock acquisition, one
-page-pin cycle and one trace span per batch instead of per op.
+a different ``replace`` flag), and executes the whole thing on the
+event-loop thread through ``put_many``/``get_many`` -- one lock
+acquisition, one page-pin cycle and one trace span per batch instead of
+per op.
 
 Single ops (``submit``) are runs of one.  A BATCH frame's consecutive
 same-kind sub-ops arrive as one multi-op run (``submit_run``): one
@@ -25,9 +26,12 @@ Correctness comes from two invariants:
   ``commit()`` returned -- an acknowledged write has reached the log
   before the client hears about it.
 
-The dispatcher is strictly one-batch-at-a-time, which is what makes the
-transaction wrapping safe (transactions are thread-affine and the whole
-batch runs in a single ``asyncio.to_thread`` call).
+The dispatcher is strictly one-batch-at-a-time and calls the engine
+directly, with no thread hop: every table access the server makes runs
+on the one event-loop thread, which is what makes the transaction
+wrapping safe (transactions are thread-affine).  The cost is that an
+engine batch blocks the loop for its duration -- a commit's fsync, or a
+shard round trip on a sharded table, included.
 """
 
 from __future__ import annotations
@@ -205,10 +209,8 @@ class Batcher:
                 )
             t_exec = time.perf_counter() if bspan is not None else 0.0
             try:
-                results = await asyncio.to_thread(
-                    self._execute, run.kind, keys, values, run.replace, bspan
-                )
-            except BaseException as exc:  # noqa: BLE001 - relayed per run
+                results = self._execute(run.kind, keys, values, run.replace, bspan)
+            except Exception as exc:  # noqa: BLE001 - relayed per run
                 if bspan is not None:
                     tracer.close_span(bspan, {"error": type(exc).__name__})
                 for r in batch:
@@ -232,13 +234,12 @@ class Batcher:
                         )
                     off += n
 
-    # -- worker-thread side ------------------------------------------------------
+    # -- engine side -------------------------------------------------------------
 
     def _execute(self, kind: str, keys, values, replace: bool, bspan=None) -> list:
         if bspan is not None:
-            # runs on the worker thread: lend the coalescer's span to this
-            # thread so engine spans (put_many, lock_wait, wal_fsync...)
-            # nest under it
+            # lend the coalescer's detached span to the loop thread so
+            # engine spans (put_many, lock_wait, wal_fsync...) nest under it
             with self.db.tracer.attach(bspan):
                 return self._execute_ops(kind, keys, values, replace)
         return self._execute_ops(kind, keys, values, replace)

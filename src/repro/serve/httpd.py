@@ -115,13 +115,12 @@ async def _handle(server, reader) -> tuple[int, bytes, str]:
     if path == "/metrics":
         if method != "GET":
             return 405, b"method not allowed", text
-        stat = await _stat(server)
-        return 200, to_prometheus(stat).encode(), "text/plain; version=0.0.4; charset=utf-8"
+        exposition = to_prometheus(server.stat()).encode()
+        return 200, exposition, "text/plain; version=0.0.4; charset=utf-8"
     if path == "/stat":
         if method != "GET":
             return 405, b"method not allowed", text
-        stat = await _stat(server)
-        return 200, json.dumps(stat, default=repr).encode(), "application/json"
+        return 200, json.dumps(server.stat(), default=repr).encode(), "application/json"
     if path == "/trace":
         if method != "GET":
             return 405, b"method not allowed", text
@@ -166,9 +165,3 @@ async def _handle(server, reader) -> tuple[int, bytes, str]:
             return 204, b"", text
         return 405, b"method not allowed", text
     return 404, b"not found\n", text
-
-
-async def _stat(server) -> dict:
-    import asyncio
-
-    return await asyncio.to_thread(server.stat)

@@ -1,11 +1,13 @@
 """The asyncio key-value server: pipelined binary protocol over one table.
 
-One :class:`Server` owns a database handle (any access method; open it
-with ``concurrent=True`` so worker threads may share it), a
+One :class:`Server` owns a database handle (any access method), a
 :class:`~repro.serve.batching.Batcher` that coalesces pipelined ops from
 every connection into the engine's batch API, a TCP listener speaking
 the :mod:`repro.serve.protocol` framing, and an optional HTTP/JSON +
-Prometheus facade on a second port (:mod:`repro.serve.httpd`).
+Prometheus facade on a second port (:mod:`repro.serve.httpd`).  Every
+table call the server makes -- batches, ``stat()``, the final
+checkpoint -- runs on the event-loop thread, so the table needs no
+``concurrent=True`` locking unless code outside the server shares it.
 
 Flow control is per connection and two-layered:
 
@@ -167,11 +169,10 @@ class Server:
 
     async def _sample_timeseries(self) -> None:
         """Periodic sampler behind ``/debug/timeseries``: one ``stat()``
-        per interval, taken on a worker thread."""
+        per interval, taken on the loop thread."""
         while True:
             await asyncio.sleep(self.timeseries.interval)
-            stat = await asyncio.to_thread(self.stat)
-            self.timeseries.sample(stat)
+            self.timeseries.sample()
 
     async def serve_forever(self) -> None:
         assert self._server is not None, "start() first"
@@ -210,7 +211,7 @@ class Server:
                 while self._conns:
                     await asyncio.sleep(0)
         await self.batcher.stop()
-        await asyncio.to_thread(self._final_sync)
+        self._final_sync()
 
     def _final_sync(self) -> None:
         db = self.db
@@ -390,8 +391,7 @@ class Server:
         if opcode == proto.OP_BATCH:
             return await self._dispatch_batch(payload, request_id, span)
         if opcode == proto.OP_STAT:
-            stat = await asyncio.to_thread(self.stat)
-            return proto.ST_OK, json.dumps(stat, default=repr).encode()
+            return proto.ST_OK, json.dumps(self.stat(), default=repr).encode()
         raise ProtocolError(
             f"unknown opcode 0x{opcode:02X}", request_id=request_id
         )

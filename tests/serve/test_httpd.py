@@ -139,6 +139,7 @@ class TestDebugEndpoints:
             _get(st, "/debug/slow")
         assert exc.value.code == 404
         assert b"--slow-ms" in exc.value.read()
+        exc.value.close()
 
     def test_slow_serves_captures(self, server_factory):
         st = server_factory(
@@ -169,6 +170,7 @@ class TestDebugEndpoints:
         )
         with pytest.raises(urllib.error.HTTPError) as exc:
             _get(st, "/debug/timeseries")
+        exc.value.close()
         assert exc.value.code == 404
 
     def test_timeseries_serves_deltas(self, server_factory):

@@ -1,9 +1,11 @@
 """Server behavior over the loopback: ops, pipelining, backpressure,
-the HTTP facade, graceful shutdown, and serve spans in ``tools top``."""
+the HTTP facade, graceful shutdown, serve spans in ``tools top``, and
+the confinement of every table call to the event-loop thread."""
 
 from __future__ import annotations
 
 import json
+import threading
 import urllib.error
 import urllib.request
 
@@ -181,12 +183,14 @@ class TestHttpFacade:
             assert r.status == 204
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(self._url(st, "/kv/a%2Fb"))
+        exc.value.close()
         assert exc.value.code == 404
 
     def test_unknown_route_404(self, server_factory):
         st = server_factory(http=True)
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(self._url(st, "/nope"))
+        exc.value.close()
         assert exc.value.code == 404
 
 
@@ -217,6 +221,7 @@ class TestServeSpans:
         url = f"http://127.0.0.1:{st.http_port}/trace"
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(url)
+        exc.value.close()
         assert exc.value.code == 404  # tracing off
         st.server.db.enable_tracing()
         with Client(port=st.port) as c:
@@ -254,3 +259,56 @@ class TestGracefulShutdown:
         st.stop()
         with pytest.raises(OSError):
             Client(port=port, timeout=2.0)
+
+
+class TestConfinement:
+    """The server owns its table on one thread: every table call it
+    makes -- batches, transactions, ``stat()``, the final checkpoint or
+    sync -- runs on the event-loop thread, never on a helper thread."""
+
+    CALLS = ("get_many", "put_many", "put", "delete", "begin", "commit",
+             "stat", "checkpoint", "sync")
+
+    @classmethod
+    def _spy(cls, table, calls: list) -> None:
+        for name in cls.CALLS:
+            def spy(*args, _fn=getattr(table, name), _name=name, **kwargs):
+                calls.append((_name, threading.get_ident()))
+                return _fn(*args, **kwargs)
+
+            setattr(table, name, spy)
+
+    def test_every_table_call_runs_on_the_loop_thread(self, server_factory):
+        seen: set[str] = set()
+        for durability in ("none", "wal"):
+            st = server_factory(http=True, durability=durability)
+            calls: list[tuple[str, int]] = []
+            self._spy(st.server.db.table, calls)
+            with Client(port=st.port) as c:
+                assert c.put(b"k", b"v") is True
+                assert c.put(b"k", b"w", replace=False) is False
+                assert c.get(b"k") == b"v"
+                assert c.delete(b"k") is True
+                assert c.batch(
+                    [("put", b"a", b"1"), ("get", b"a"), ("delete", b"a")]
+                ) == [True, b"1", True]
+                assert c.stat()["db"]["type"] == "hash"
+            base = f"http://127.0.0.1:{st.http_port}"
+            req = urllib.request.Request(f"{base}/kv/h", data=b"x", method="PUT")
+            with urllib.request.urlopen(req) as r:
+                assert r.status == 204
+            with urllib.request.urlopen(f"{base}/kv/h") as r:
+                assert r.read() == b"x"
+            req = urllib.request.Request(f"{base}/kv/h", method="DELETE")
+            with urllib.request.urlopen(req) as r:
+                assert r.status == 204
+            for path in ("/stat", "/metrics"):
+                with urllib.request.urlopen(base + path) as r:
+                    assert r.status == 200
+            loop_thread = st._thread.ident
+            st.stop()  # drain, then the final checkpoint (wal) or sync
+            assert calls
+            off_loop = [name for name, tid in calls if tid != loop_thread]
+            assert not off_loop, f"table calls off the loop thread: {off_loop}"
+            seen.update(name for name, _ in calls)
+        assert seen == set(self.CALLS)
